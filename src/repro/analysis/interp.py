@@ -16,8 +16,9 @@ the pass framework / :mod:`repro.analysis.synth` derive from it):
   ``cross-ntt`` — with merged names (``a+b`` from the merge pass) split
   and applied in order, then charged once per :class:`LocalOp`;
 * flat exchanges by relayout (``unintt-exchange``,
-  ``unintt-materialize``), executed with the same destination-slot walk
-  as :func:`~repro.multigpu.base.redistribute`;
+  ``unintt-materialize``), executed from the same
+  :class:`~repro.multigpu.layout.RelayoutPlan` as
+  :func:`~repro.multigpu.base.redistribute`;
 * hierarchical ``*-stage`` / ``*-rail`` pairs, executed as two chained
   ``all_to_all`` collectives with the data genuinely forwarded through
   the per-node scratch GPUs (:func:`~repro.analysis.synth.route_via`).
@@ -34,7 +35,7 @@ from repro.errors import SchedulePassError
 from repro.field.vector import vec_mul
 from repro.multigpu.layout import (
     BlockLayout, CyclicLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
-    collect, distribute,
+    collect, distribute, relayout_plan,
 )
 from repro.multigpu.schedule import (
     CommSchedule, ExchangeOp, LocalOp, ScheduleOp,
@@ -77,15 +78,10 @@ def _staged_redistribute(cluster: SimCluster, source: Layout,
             f"node_size set")
     g = cluster.gpu_count
 
-    # Per-(src, dst) messages in destination-slot order — the same walk
-    # redistribute() uses, so reassembly below is deterministic.
-    msgs: list[list[list[int]]] = [[[] for _ in range(g)]
-                                   for _ in range(g)]
-    for dst in range(g):
-        for local in range(target.shard_size):
-            j = target.global_index(dst, local)
-            src, src_local = source.owner(j)
-            msgs[src][dst].append(cluster.gpus[src].shard[src_local])
+    # Per-(src, dst) messages from the plan redistribute() reads, so
+    # reassembly below is deterministic.
+    plan = relayout_plan(source, target)
+    msgs = plan.outboxes([gpu.shard for gpu in cluster.gpus])
 
     # Stage: deliver same-node data directly, forward cross-node data
     # to the scratch GPU on the destination's rail.  Final-dst-major
@@ -124,28 +120,21 @@ def _staged_redistribute(cluster: SimCluster, source: Layout,
                     out2[holder][dst].extend(chunk)
     in2 = cluster.all_to_all(out2, detail=f"{base_detail}-rail")
 
-    # Reassemble each destination shard from per-origin FIFO queues.
+    # Reassemble each destination shard from per-origin messages.
     for dst in range(g):
-        fifo: list[list[int]] = [[] for _ in range(g)]
+        messages: list[list[int]] = [[] for _ in range(g)]
         cursors: dict[int, int] = {}
         for src in range(g):
             holder = route_via(src, dst, ns)
             if holder == dst:
-                fifo[src] = list(held.get((dst, dst, src), ()))
+                messages[src] = list(held.get((dst, dst, src), ()))
             else:
                 buf = in2[dst][holder]
                 pos = cursors.get(holder, 0)
                 count = len(msgs[src][dst])
-                fifo[src] = buf[pos:pos + count]
+                messages[src] = buf[pos:pos + count]
                 cursors[holder] = pos + count
-        shard = [0] * target.shard_size
-        taken = [0] * g
-        for local in range(target.shard_size):
-            j = target.global_index(dst, local)
-            src, _ = source.owner(j)
-            shard[local] = fifo[src][taken[src]]
-            taken[src] += 1
-        cluster.gpus[dst].load(shard)
+        cluster.gpus[dst].load(plan.assemble(dst, messages))
 
 
 def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,

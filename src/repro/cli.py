@@ -42,6 +42,11 @@ from repro.bench import runners as bench_runners
 
 __all__ = ["main", "build_parser"]
 
+#: Largest ``--log-size`` a command that runs transforms functionally on
+#: the host (``trace``, ``analyze trace``) accepts: 2^20 elements run in
+#: seconds, while 2^30 would hold the host for hours.
+HOST_MAX_LOG_SIZE = 20
+
 #: Experiment id -> (runner, title).
 EXPERIMENTS: dict[str, tuple[Callable[[], tuple], str]] = {
     "t1": (bench_runners.platforms_table, "T1: hardware platforms"),
@@ -698,6 +703,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.sim import FaultInjector, FaultPlan
 
+    if args.replicas < 1:
+        raise ServeError(f"--replicas must be >= 1, got {args.replicas}")
     machine = machine_by_name(args.machine)
     if args.workload is not None:
         with open(args.workload, encoding="utf-8") as handle:
@@ -956,7 +963,19 @@ def _cmd_serve_fleet(args: argparse.Namespace, machine, requests,
     return 0 if verified in (None, True) else 1
 
 
+def _check_host_log_size(log_size: int) -> None:
+    from repro.errors import ReproError
+
+    if not 0 <= log_size <= HOST_MAX_LOG_SIZE:
+        raise ReproError(
+            f"--log-size must be in [0, {HOST_MAX_LOG_SIZE}] for a "
+            f"functional run, got {log_size}")
+
+
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "trace" or (args.command == "analyze"
+                                   and args.analyze_command == "trace"):
+        _check_host_log_size(args.log_size)
     if args.command == "info":
         return _cmd_info()
     if args.command == "experiment":

@@ -24,8 +24,9 @@ from repro.multigpu.hierarchical import (
 )
 from repro.multigpu.pairwise import BitrevSpectralLayout, PairwiseExchangeEngine
 from repro.multigpu.layout import (
-    BlockLayout, ColumnBlockLayout, CyclicLayout, Layout, SpectralLayout,
-    TransposedBlockLayout, UniNTTExchangeLayout, collect, distribute,
+    BlockLayout, ColumnBlockLayout, CyclicLayout, Layout, RelayoutPlan,
+    SpectralLayout, TransposedBlockLayout, UniNTTExchangeLayout, collect,
+    distribute, layout_slots, relayout_plan,
 )
 from repro.multigpu.polynomial import DistributedPolynomial
 from repro.multigpu.resilience import (
@@ -39,7 +40,7 @@ from repro.multigpu.unintt import UniNTTEngine
 __all__ = [
     "Layout", "BlockLayout", "CyclicLayout", "SpectralLayout",
     "ColumnBlockLayout", "TransposedBlockLayout", "UniNTTExchangeLayout",
-    "distribute", "collect",
+    "distribute", "collect", "RelayoutPlan", "relayout_plan", "layout_slots",
     "DistributedVector", "DistributedNTTEngine", "redistribute",
     "VectorCheckpoint",
     "RetryPolicy", "ResilienceReport", "ResilientNTTEngine",

@@ -58,9 +58,11 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.field.prime_field import PrimeField
-from repro.field.vector import vec_inv, vec_pow_series, vec_scale, vec_sub
+from repro.field.vector import (
+    vec_inv, vec_mul, vec_pow_series, vec_scale, vec_sub,
+)
 from repro.hw.cost import Phase, Step
-from repro.multigpu.layout import Layout
+from repro.multigpu.layout import Layout, layout_slots
 from repro.sim.trace import TraceEvent
 
 __all__ = ["ProbeVector", "ProbeLedger", "AbftVerdict", "AbftChecker"]
@@ -103,6 +105,14 @@ def _build_probe(field: PrimeField, n: int, direction: str,
     weights = vec_scale(field, vec_inv(field, d), tn)
     return ProbeVector(field_name=field.name, n=n, direction=direction,
                        t=t, r_powers=tuple(r), weights=tuple(weights))
+
+
+def _group_dots(u, v, groups, p: int) -> list[int]:
+    """``sum(u[k] * v[k] for k in group) % p`` for each index group."""
+    dots = []
+    for group in groups:
+        dots.append(sum(u[k] * v[k] for k in group) % p)
+    return dots
 
 
 class ProbeLedger:
@@ -228,36 +238,18 @@ class AbftChecker:
         else:
             x, y = inputs, outputs
         shift = 1 if coset_shift is None else coset_shift % p
-        g = self.cluster.gpu_count
         r = probe.r_powers
-        a = probe.weights
-
+        weights = probe.weights if shift == 1 else vec_mul(
+            field, probe.weights, vec_pow_series(field, shift, n))
+        whole = (range(n),)
+        slots = whole if out_layout is None else layout_slots(out_layout)
+        lhs_parts = _group_dots(r, y, whole if inverse else slots, p)
+        rhs_parts = _group_dots(weights, x, slots if inverse else whole, p)
+        lhs = sum(lhs_parts) % p
+        rhs = sum(rhs_parts) % p
         partials: list[int] | None = None
-        if not inverse and out_layout is not None:
-            partials = [0] * g
-            for k in range(n):
-                dev, _ = out_layout.owner(k)
-                partials[dev] = (partials[dev] + r[k] * y[k]) % p
-            lhs = sum(partials) % p
-        else:
-            lhs = 0
-            for k in range(n):
-                lhs = (lhs + r[k] * y[k]) % p
-
-        if inverse and out_layout is not None:
-            partials = [0] * g
-            sp = 1
-            for j in range(n):
-                dev, _ = out_layout.owner(j)
-                partials[dev] = (partials[dev] + a[j] * sp % p * x[j]) % p
-                sp = sp * shift % p
-            rhs = sum(partials) % p
-        else:
-            rhs = 0
-            sp = 1
-            for j in range(n):
-                rhs = (rhs + a[j] * sp % p * x[j]) % p
-                sp = sp * shift % p
+        if out_layout is not None:
+            partials = rhs_parts if inverse else lhs_parts
 
         ok = lhs == rhs
         steps.append(self._charge_probe(n, shift != 1, ok, detail))

@@ -18,12 +18,14 @@ from repro.errors import PartitionError, SimulationError
 from repro.field.prime_field import PrimeField
 from repro.hw.cost import CostBreakdown, CostModel, Step
 from repro.hw.model import MachineModel
-from repro.multigpu.layout import Layout, collect, distribute
+from repro.multigpu.layout import (
+    Layout, collect, distribute, relayout_plan,
+)
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import TraceEvent
 
 __all__ = ["DistributedVector", "VectorCheckpoint", "redistribute",
-           "exchange_counts", "DistributedNTTEngine"]
+           "DistributedNTTEngine"]
 
 
 @dataclass(frozen=True)
@@ -129,74 +131,23 @@ def redistribute(cluster: SimCluster, source: Layout, target: Layout,
                  detail: str = "") -> None:
     """One all-to-all moving every element from ``source`` to ``target``.
 
-    Both layouts must cover the same global index space.  Messages are
-    ordered by destination local index so receivers reassemble by
-    walking their slots in order — the deterministic schedule a real
-    implementation would use.
+    Both layouts must cover the same global index space.  The messages
+    and their order come from the layout pair's
+    :class:`~repro.multigpu.layout.RelayoutPlan`
+    (ordered by destination local index), the same plan the symbolic
+    schedule prices.
     """
-    if source.n != target.n or source.gpu_count != target.gpu_count:
-        raise PartitionError(
-            f"layout mismatch: {source.n}/{source.gpu_count} vs "
-            f"{target.n}/{target.gpu_count}")
+    plan = relayout_plan(source, target)
     g = cluster.gpu_count
     if source.gpu_count != g:
         raise PartitionError(
             f"layouts are for {source.gpu_count} GPUs, cluster has {g}")
-
-    outboxes: list[list[list[int]]] = [[[] for _ in range(g)]
-                                       for _ in range(g)]
-    # Walk destination slots in order, so each (src, dst) message is
-    # naturally sorted by destination local index.
+    inboxes = cluster.all_to_all(
+        plan.outboxes([gpu.shard for gpu in cluster.gpus]),
+        detail=detail or f"{type(source).__name__}->"
+                         f"{type(target).__name__}")
     for dst in range(g):
-        for local in range(target.shard_size):
-            j = target.global_index(dst, local)
-            src, src_local = source.owner(j)
-            outboxes[src][dst].append(cluster.gpus[src].shard[src_local])
-    inboxes = cluster.all_to_all(outboxes, detail=detail or
-                                 f"{type(source).__name__}->"
-                                 f"{type(target).__name__}")
-    for dst in range(g):
-        cursors = [0] * g
-        shard = [0] * target.shard_size
-        for local in range(target.shard_size):
-            j = target.global_index(dst, local)
-            src, _ = source.owner(j)
-            shard[local] = inboxes[dst][src][cursors[src]]
-            cursors[src] += 1
-        cluster.gpus[dst].load(shard)
-
-
-_EXCHANGE_COUNT_CACHE: dict[tuple, list[list[int]]] = {}
-
-
-def exchange_counts(source: Layout, target: Layout) -> list[list[int]]:
-    """Element counts of the all-to-all :func:`redistribute` would run.
-
-    ``counts[src][dst]`` is how many elements GPU ``src`` sends to GPU
-    ``dst`` when moving from ``source`` to ``target`` — the same
-    destination-order walk ``redistribute`` takes, minus the data.  The
-    packed execution path prices its (host-resident) layout changes
-    through :meth:`repro.sim.cluster.SimCluster.charge_all_to_all` with
-    exactly these counts, so the two paths are byte-identical in the
-    trace.  Pure in the layout shapes, hence memoized per shape.
-    """
-    if source.n != target.n or source.gpu_count != target.gpu_count:
-        raise PartitionError(
-            f"layout mismatch: {source.n}/{source.gpu_count} vs "
-            f"{target.n}/{target.gpu_count}")
-    key = (type(source).__name__, type(target).__name__,
-           source.n, source.gpu_count)
-    cached = _EXCHANGE_COUNT_CACHE.get(key)
-    if cached is None:
-        g = source.gpu_count
-        cached = [[0] * g for _ in range(g)]
-        for dst in range(g):
-            for local in range(target.shard_size):
-                j = target.global_index(dst, local)
-                src, _ = source.owner(j)
-                cached[src][dst] += 1
-        _EXCHANGE_COUNT_CACHE[key] = cached
-    return cached
+        cluster.gpus[dst].load(plan.assemble(dst, inboxes[dst]))
 
 
 class DistributedNTTEngine(ABC):

@@ -34,7 +34,7 @@ from repro.multigpu import accounting as acct
 from repro.multigpu.base import (
     DistributedNTTEngine, DistributedVector, redistribute,
 )
-from repro.multigpu.layout import BlockLayout, Layout
+from repro.multigpu.layout import BlockLayout, Layout, layout_slots
 from repro.ntt import radix2
 from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
@@ -79,15 +79,13 @@ class NestedCyclicLayout(_NodeStructured):
     both recursion levels' local transforms touch only local data.
     """
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
+    def _slot_of(self, j):
         n_nodes, p = self.nodes, self.gpus_per_node
-        j1, s_node = divmod(global_index, n_nodes)
+        j1, s_node = divmod(j, n_nodes)
         q, s_gpu = divmod(j1, p)
         return s_node * p + s_gpu, q
 
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
+    def _index_of(self, gpu: int, local):
         n_nodes, p = self.nodes, self.gpus_per_node
         s_node, s_gpu = divmod(gpu, p)
         return (local * p + s_gpu) * n_nodes + s_node
@@ -118,16 +116,14 @@ class IntraNodeExchangeLayout(_NodeStructured):
         """k1' values per GPU column: m / P."""
         return self.shard_size // self.gpus_per_node
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
+    def _slot_of(self, j):
         p = self.gpus_per_node
-        unit, k1p = divmod(global_index, self.shard_size)
+        unit, k1p = divmod(j, self.shard_size)
         s_node, s_gpu = divmod(unit, p)
         t_gpu, offset = divmod(k1p, self.chunk)
         return s_node * p + t_gpu, offset * p + s_gpu
 
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
+    def _index_of(self, gpu: int, local):
         p = self.gpus_per_node
         s_node, t_gpu = divmod(gpu, p)
         offset, s_gpu = divmod(local, p)
@@ -158,18 +154,16 @@ class NodeSpectralLayout(_NodeStructured):
         """k1' values per GPU column: L / P."""
         return self.node_size // (self.gpus_per_node ** 2)
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
+    def _slot_of(self, j):
         p = self.gpus_per_node
         m_node = self.node_size
         l_local = m_node // p
-        s_node, k1 = divmod(global_index, m_node)
+        s_node, k1 = divmod(j, m_node)
         k2_gpu, k1p = divmod(k1, l_local)
         t_gpu, offset = divmod(k1p, self.chunk)
         return s_node * p + t_gpu, offset * p + k2_gpu
 
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
+    def _index_of(self, gpu: int, local):
         p = self.gpus_per_node
         m_node = self.node_size
         l_local = m_node // p
@@ -237,13 +231,11 @@ class InterNodeExchangeLayout(_ColumnChunked):
     all-to-all: GPU ``(t_node, t_gpu)`` holds, for each k1 in its
     sub-chunk, the N values over ``s_node`` contiguously."""
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        s_node, k1 = divmod(global_index, self.node_size)
+    def _slot_of(self, j):
+        s_node, k1 = divmod(j, self.node_size)
         return self._owner(s_node, k1)
 
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
+    def _index_of(self, gpu: int, local):
         s_node, k1 = self._global(gpu, local)
         return s_node * self.node_size + k1
 
@@ -252,13 +244,11 @@ class NestedSpectralLayout(_ColumnChunked):
     """Final spectrum order: ``k = k1 + M * k2_node`` — the in-place
     N-point cross transform of :class:`InterNodeExchangeLayout`."""
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        k2_node, k1 = divmod(global_index, self.node_size)
+    def _slot_of(self, j):
+        k2_node, k1 = divmod(j, self.node_size)
         return self._owner(k2_node, k1)
 
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
+    def _index_of(self, gpu: int, local):
         k2_node, k1 = self._global(gpu, local)
         return k2_node * self.node_size + k1
 
@@ -343,11 +333,8 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
             if not s_node:
                 continue
             w_base = pow(root, s_node, p)
-            factors = [
-                pow(w_base,
-                    node_spectral.global_index(gpu.gpu_id, local) % m_node,
-                    p)
-                for local in range(len(gpu.shard))]
+            factors = [pow(w_base, j % m_node, p)
+                       for j in layout_slots(node_spectral)[gpu.gpu_id]]
             gpu.shard = vec_mul(field, gpu.shard, factors)
         self._charge_twiddle(m, detail="hier-inter-twiddle")
 
@@ -393,11 +380,8 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
             if not s_node:
                 continue
             w_base = pow(inv_root, s_node, p)
-            factors = [
-                pow(w_base,
-                    node_spectral.global_index(gpu.gpu_id, local) % m_node,
-                    p)
-                for local in range(len(gpu.shard))]
+            factors = [pow(w_base, j % m_node, p)
+                       for j in layout_slots(node_spectral)[gpu.gpu_id]]
             gpu.shard = vec_mul(field, gpu.shard, factors)
         self._charge_twiddle(m, detail="hier-inv-inter-twiddle")
 

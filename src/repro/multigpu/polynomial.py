@@ -21,8 +21,9 @@ packed, transforms run resident on the reassembled array via
 the full-size transform, just distributed), pointwise legs combine
 shard pairs with the backend lane kernels, and every phase charges the
 cluster **exactly** what the materialized path would (the exchanges are
-priced through :func:`repro.multigpu.base.exchange_counts` +
-:meth:`repro.sim.cluster.SimCluster.charge_all_to_all`).  The packed
+priced from the counts of the same
+:class:`~repro.multigpu.layout.RelayoutPlan` the materialized exchange
+reads, via :meth:`repro.sim.cluster.SimCluster.charge_all_to_all`).  The packed
 path declines — falling back to lists transparently — when fault
 injection or exchange checksums are active, since those need real
 per-message data on the wire.
@@ -39,12 +40,10 @@ from repro.field.packed import (
 )
 from repro.field.prime_field import PrimeField
 from repro.field.vector import vec_add, vec_mul, vec_sub
-from repro.multigpu.base import (
-    DistributedVector, VectorCheckpoint, exchange_counts,
-)
+from repro.multigpu.base import DistributedVector, VectorCheckpoint
 from repro.multigpu.layout import (
     BlockLayout, Layout, SpectralLayout, UniNTTExchangeLayout, collect,
-    distribute,
+    distribute, layout_slots, relayout_plan,
 )
 from repro.multigpu.unintt import UniNTTEngine
 from repro.ntt.twiddle import default_cache
@@ -55,35 +54,22 @@ __all__ = ["DistributedPolynomial"]
 _COEFF = "coefficient"
 _EVAL = "evaluation"
 
-#: Memoized per-GPU gather indices for packed shard split/join.  Keyed
-#: by layout shape; the index walk is pure in the shape, so it is paid
-#: once per (layout type, n, G) for the whole process.
-_LAYOUT_INDEX_CACHE: dict[tuple, list] = {}
-
 
 def _is_packed(values) -> bool:
     """Packed arrays are recognized by duck type, not by importing numpy."""
     return getattr(values, "ndim", None) is not None
 
 
-def _layout_indices(layout: Layout) -> list:
-    key = (type(layout).__name__, layout.n, layout.gpu_count)
-    cached = _LAYOUT_INDEX_CACHE.get(key)
-    if cached is None:
-        import numpy as np
+def _slot_arrays(layout: Layout) -> list:
+    """Per-GPU global slot indices as numpy index arrays."""
+    import numpy as np
 
-        cached = [
-            np.asarray([layout.global_index(g, i)
-                        for i in range(layout.shard_size)], dtype=np.intp)
-            for g in range(layout.gpu_count)
-        ]
-        _LAYOUT_INDEX_CACHE[key] = cached
-    return cached
+    return [np.asarray(idx, dtype=np.intp) for idx in layout_slots(layout)]
 
 
 def _packed_split(arr, layout: Layout) -> list:
     """Shard a packed array under ``layout`` (element axis last)."""
-    return [arr[..., idx] for idx in _layout_indices(layout)]
+    return [arr[..., idx] for idx in _slot_arrays(layout)]
 
 
 def _packed_join(shards: Sequence, layout: Layout):
@@ -92,7 +78,7 @@ def _packed_join(shards: Sequence, layout: Layout):
 
     first = shards[0]
     out = np.empty(first.shape[:-1] + (layout.n,), dtype=first.dtype)
-    for idx, shard in zip(_layout_indices(layout), shards):
+    for idx, shard in zip(_slot_arrays(layout), shards):
         out[..., idx] = shard
     return out
 
@@ -364,20 +350,22 @@ class DistributedPolynomial:
                 engine._charge_coset(m, live=False)
             engine._charge_local_ntt(m, twiddle=True, detail="unintt-local",
                                      live=False)
-            cluster.charge_all_to_all(exchange_counts(block, exchange),
-                                      detail="unintt-exchange")
+            cluster.charge_all_to_all(
+                relayout_plan(block, exchange).counts,
+                detail="unintt-exchange")
             engine._charge_cross(m, detail="unintt-cross", live=False)
             if not engine.options.keep_permuted_output:
                 cluster.charge_all_to_all(
-                    exchange_counts(spectral, block),
+                    relayout_plan(spectral, block).counts,
                     detail="unintt-materialize")
             return
         if not engine.options.keep_permuted_output:
-            cluster.charge_all_to_all(exchange_counts(block, spectral),
-                                      detail="unintt-dematerialize")
+            cluster.charge_all_to_all(
+                relayout_plan(block, spectral).counts,
+                detail="unintt-dematerialize")
         engine._charge_cross(m, detail="unintt-inv-cross", scaled=True,
                              live=False)
-        cluster.charge_all_to_all(exchange_counts(exchange, block),
+        cluster.charge_all_to_all(relayout_plan(exchange, block).counts,
                                   detail="unintt-inv-exchange")
         engine._charge_local_ntt(m, twiddle=True, scaled=True,
                                  detail="unintt-inv-local", live=False)

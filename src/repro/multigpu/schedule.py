@@ -26,9 +26,9 @@ formulas the engines use, but containing no data.  It is the object the
 plan verifier (:mod:`repro.analysis.plancheck`) walks: every op declares
 which dataflow *tag* it consumes and produces, so read-before-write,
 lost/duplicated transfers and deadlocks are decidable without running
-the simulator.  Because transfers are enumerated from the real
-:class:`~repro.multigpu.layout.Layout` pair exactly the way
-:func:`~repro.multigpu.base.redistribute` builds its outboxes, the
+the simulator.  Because transfers are read from the same
+:class:`~repro.multigpu.layout.RelayoutPlan` that
+:func:`~repro.multigpu.base.redistribute` builds its outboxes from, the
 schedule's byte totals equal the simulator's traced totals bit-for-bit.
 """
 
@@ -39,7 +39,7 @@ from typing import Union
 
 from repro.multigpu import accounting as acct
 from repro.multigpu.layout import (
-    BlockLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
+    BlockLayout, Layout, SpectralLayout, UniNTTExchangeLayout, relayout_plan,
 )
 from repro.ntt import radix4
 
@@ -246,19 +246,14 @@ def make_transfers(source: Layout, target: Layout,
                    element_bytes: int) -> tuple[ShardTransfer, ...]:
     """Enumerate the messages that relayout ``source`` -> ``target``.
 
-    Mirrors :func:`repro.multigpu.base.redistribute` exactly — walk the
-    destination slots, find each element's current owner — but records
-    only counts, so the symbolic schedule's byte totals match the
-    simulator's for *any* layout pair, including permutations that move
-    uneven chunks between GPU pairs.
+    Reads the same :class:`~repro.multigpu.layout.RelayoutPlan` as
+    :func:`repro.multigpu.base.redistribute`, so the symbolic
+    schedule's byte totals match the simulator's for *any* layout
+    pair, including permutations that move uneven chunks between GPU
+    pairs.
     """
+    counts = relayout_plan(source, target).counts
     g = source.gpu_count
-    counts = [[0] * g for _ in range(g)]
-    for dst in range(g):
-        for local in range(target.shard_size):
-            j = target.global_index(dst, local)
-            src, _ = source.owner(j)
-            counts[src][dst] += 1
     return tuple(
         ShardTransfer(src=src, dst=dst, nbytes=counts[src][dst]
                       * element_bytes)

@@ -27,11 +27,11 @@ __all__ = ["TwiddleCache", "default_cache", "bit_reverse", "bit_reverse_permutat
 
 
 def bit_reverse(value: int, bits: int) -> int:
-    """Reverse the low ``bits`` bits of ``value``."""
+    """Reverse the low ``bits`` bits of ``value`` (an int or int array)."""
     result = 0
     for _ in range(bits):
         result = (result << 1) | (value & 1)
-        value >>= 1
+        value = value >> 1
     return result
 
 

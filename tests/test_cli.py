@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, HOST_MAX_LOG_SIZE, build_parser, main
 
 
 class TestParser:
@@ -147,6 +147,22 @@ class TestErrorHygiene:
     def test_debug_reraises(self):
         with pytest.raises(KeyError, match="NoSuchField"):
             main(["--debug", "estimate", "--field", "NoSuchField"])
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["trace", "--log-size", "-3"], "--log-size"),
+        (["trace", "--log-size", "30"], "--log-size"),
+        (["analyze", "trace", "--log-size", str(HOST_MAX_LOG_SIZE + 1)],
+         "--log-size"),
+        (["serve", "--replicas", "-1"], "--replicas"),
+    ])
+    def test_out_of_range_arguments_exit_2_with_one_line(self, argv, needle,
+                                                         capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert needle in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestFaultInjectionCli:
