@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.field import BLS12_381_FR, GOLDILOCKS
+from repro.field import BLS12_381_FR, GOLDILOCKS, use_backend
 from repro.multigpu import DistributedVector, UniNTTEngine
 from repro.ntt import intt, ntt, ntt_radix4
 from repro.sim import SimCluster
@@ -73,20 +73,20 @@ def test_f13_stockham_forward(benchmark, log_n):
     assert result == ntt(field, values)
 
 
-@pytest.mark.parametrize("vectorized", [False, True],
-                         ids=["scalar", "vectorized"])
-def test_f13_unintt_local_path(benchmark, vectorized):
-    """The engine's vectorized Goldilocks local-transform option."""
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_f13_unintt_local_path(benchmark, backend):
+    """The engine's local transforms on scalar vs numpy lane kernels."""
     field = GOLDILOCKS
     n = 1 << 12
     values = field.random_vector(n, RNG)
     cluster = SimCluster(field, 8)
-    engine = UniNTTEngine(cluster, vectorized=vectorized)
+    engine = UniNTTEngine(cluster)
     layout = engine.input_layout(n)
 
     def run():
         vec = DistributedVector.from_values(cluster, values, layout)
         return engine.forward(vec)
 
-    out = benchmark(run)
+    with use_backend(backend):
+        out = benchmark(run)
     assert out.to_values() == ntt(field, values)

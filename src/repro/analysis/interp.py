@@ -5,26 +5,23 @@ a schedule's *accounting* (gate in :mod:`repro.analysis.passes`); this
 module proves its *semantics* by actually running the op list on a
 :class:`~repro.sim.cluster.SimCluster` — real field values flow through
 every declared transfer — and letting tests check the result bit-exact
-against the engine the schedule was derived from, and the recorded
-trace's ``bytes_by_level()`` bit-for-bit against the schedule's.
+against the engine, and the recorded trace's ``bytes_by_level()``
+bit-for-bit against the schedule's.
 
-The interpreter understands the **unintt family** of schedules
+It runs the **unintt family** of forward schedules
 (:func:`~repro.multigpu.schedule.build_unintt_schedule` and everything
-the pass framework / :mod:`repro.analysis.synth` derive from it):
-
-* local kernels by op name — ``local-ntt``, ``twiddle-pass``,
-  ``cross-ntt`` — with merged names (``a+b`` from the merge pass) split
-  and applied in order, then charged once per :class:`LocalOp`;
-* flat exchanges by relayout (``unintt-exchange``,
-  ``unintt-materialize``), executed from the same
-  :class:`~repro.multigpu.layout.RelayoutPlan` as
-  :func:`~repro.multigpu.base.redistribute`;
-* hierarchical ``*-stage`` / ``*-rail`` pairs, executed as two chained
-  ``all_to_all`` collectives with the data genuinely forwarded through
-  the per-node scratch GPUs (:func:`~repro.analysis.synth.route_via`).
+the pass framework / :mod:`repro.analysis.synth` derive from it) with
+the engine's own executor,
+:func:`~repro.multigpu.unintt.execute_schedule`: local ops apply the
+:func:`~repro.multigpu.unintt.unintt_kernels` of their names (merged
+``a+b`` names apply each part in order), and flat exchanges move the
+data between the layouts the op carries.  The one thing added here is
+the hierarchical ``*-stage`` / ``*-rail`` pair, executed as two chained
+``all_to_all`` collectives with the data genuinely forwarded through
+the per-node scratch GPUs (:func:`~repro.analysis.synth.route_via`).
 
 Anything else — or a schedule that fails :func:`verify_schedule` —
-raises :class:`~repro.errors.SchedulePassError` before touching data.
+raises :class:`~repro.errors.SchedulePassError` before it is run.
 """
 
 from __future__ import annotations
@@ -32,34 +29,16 @@ from __future__ import annotations
 from repro.analysis.plancheck import verify_schedule
 from repro.analysis.synth import route_via
 from repro.errors import SchedulePassError
-from repro.field.vector import vec_mul
+from repro.multigpu.base import redistribute
 from repro.multigpu.layout import (
-    BlockLayout, CyclicLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
-    collect, distribute, relayout_plan,
+    CyclicLayout, Layout, SpectralLayout, collect, distribute,
+    relayout_plan,
 )
-from repro.multigpu.schedule import (
-    CommSchedule, ExchangeOp, LocalOp, ScheduleOp,
-)
-from repro.ntt import radix2
-from repro.ntt.twiddle import default_cache
+from repro.multigpu.schedule import CommSchedule, ExchangeOp
+from repro.multigpu.unintt import execute_schedule, unintt_kernels
 from repro.sim.cluster import SimCluster
 
 __all__ = ["interpret_schedule"]
-
-#: Flat exchange ops the unintt family uses, as (source, target) layouts.
-_RELAYOUTS = {
-    "unintt-exchange": (BlockLayout, UniNTTExchangeLayout),
-    "unintt-materialize": (SpectralLayout, BlockLayout),
-}
-
-_LOCAL_KERNELS = ("local-ntt", "twiddle-pass", "cross-ntt")
-
-
-def _base_exchange_name(op: ExchangeOp) -> str:
-    for suffix in ("-stage", "-rail"):
-        if op.name.endswith(suffix):
-            return op.name[:-len(suffix)]
-    return op.name
 
 
 def _staged_redistribute(cluster: SimCluster, source: Layout,
@@ -165,88 +144,28 @@ def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
     if n < g * g or n % g:
         raise SchedulePassError(
             f"unintt schedules need n >= G^2 with G | n ({n}, G={g})")
-    m = n // g
-    field = cluster.field
-    p = field.modulus
-    root = field.root_of_unity(n)
-    root_m = pow(root, g, p)
-    root_g = pow(root, m, p)
+    ops = schedule.ops
+    for i, op in enumerate(ops):
+        if isinstance(op, ExchangeOp) and op.name.endswith("-stage"):
+            rail = f"{op.name[:-len('-stage')]}-rail"
+            nxt = ops[i + 1] if i + 1 < len(ops) else None
+            if not isinstance(nxt, ExchangeOp) or nxt.name != rail:
+                raise SchedulePassError(
+                    f"{op.name!r} is not followed by its {rail} op")
 
-    kernel_names = [part for op in schedule.ops if isinstance(op, LocalOp)
-                    for part in op.name.split("+")]
-    unknown = [k for k in kernel_names if k not in _LOCAL_KERNELS]
-    if unknown:
-        raise SchedulePassError(
-            f"{schedule.name!r}: no kernel for local op(s) {unknown!r} "
-            f"(interpreter understands {list(_LOCAL_KERNELS)})")
-    separate_twiddle = "twiddle-pass" in kernel_names
-
-    def run_kernel(kernel: str) -> None:
-        if kernel == "local-ntt":
-            for gpu in cluster.gpus:
-                s = gpu.gpu_id
-                out = radix2.ntt(field, gpu.shard, default_cache,
-                                 root=root_m)
-                if not separate_twiddle and s:
-                    tw = default_cache.powers(field, pow(root, s, p), m)
-                    out = vec_mul(field, out, tw)
-                gpu.shard = out
-        elif kernel == "twiddle-pass":
-            for gpu in cluster.gpus:
-                s = gpu.gpu_id
-                if s:
-                    tw = default_cache.powers(field, pow(root, s, p), m)
-                    gpu.shard = vec_mul(field, gpu.shard, tw)
-        else:  # cross-ntt
-            for gpu in cluster.gpus:
-                shard = gpu.shard
-                for group in range(m // g):
-                    base = group * g
-                    shard[base:base + g] = radix2.ntt(
-                        field, shard[base:base + g], default_cache,
-                        root=root_g)
+    def exchange(op: ExchangeOp) -> None:
+        if op.name.endswith("-stage"):
+            _staged_redistribute(cluster, op.source, op.target,
+                                 op.name[:-len("-stage")])
+        elif not op.name.endswith("-rail"):  # rails move with the stage
+            redistribute(cluster, op.source, op.target, detail=op.name)
 
     cluster.load_shards(distribute(values, CyclicLayout(n=n, gpu_count=g)))
-
-    ops: list[ScheduleOp] = list(schedule.ops)
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        if isinstance(op, LocalOp):
-            for part in op.name.split("+"):
-                run_kernel(part)
-            cluster.charge_local(op.field_muls_per_gpu,
-                                 op.mem_bytes_per_gpu, detail=op.name)
-        elif isinstance(op, ExchangeOp):
-            base = _base_exchange_name(op)
-            layouts = _RELAYOUTS.get(base)
-            if layouts is None:
-                raise SchedulePassError(
-                    f"{schedule.name!r}: no relayout for exchange op "
-                    f"{op.name!r}")
-            source, target = (cls(n=n, gpu_count=g) for cls in layouts)
-            if op.name.endswith("-stage"):
-                rail = ops[i + 1] if i + 1 < len(ops) else None
-                if (not isinstance(rail, ExchangeOp)
-                        or rail.name != f"{base}-rail"):
-                    raise SchedulePassError(
-                        f"{op.name!r} is not followed by its "
-                        f"{base}-rail op")
-                _staged_redistribute(cluster, source, target, base)
-                i += 1
-            else:
-                from repro.multigpu.base import redistribute
-
-                redistribute(cluster, source, target, detail=base)
-        else:
-            raise SchedulePassError(
-                f"{schedule.name!r}: interpreter does not execute "
-                f"{type(op).__name__} ops ({op.name!r})")
-        i += 1
-
-    bases = {_base_exchange_name(op) for op in schedule.ops
-             if isinstance(op, ExchangeOp)}
-    out_layout: Layout = (BlockLayout(n=n, gpu_count=g)
-                          if "unintt-materialize" in bases
+    execute_schedule(schedule, cluster, unintt_kernels(cluster.field, n, g),
+                     exchange=exchange)
+    # The cross transforms leave the spectrum in the spectral layout; a
+    # trailing exchange (materialize) moves it on to its target.
+    last = ops[-1]
+    out_layout: Layout = (last.target if isinstance(last, ExchangeOp)
                           else SpectralLayout(n=n, gpu_count=g))
     return collect(cluster.peek_shards(), out_layout)

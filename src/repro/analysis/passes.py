@@ -121,7 +121,8 @@ def merge_local_ops(schedule: CommSchedule) -> CommSchedule:
                 field_muls_per_gpu=(op.field_muls_per_gpu
                                     + nxt.field_muls_per_gpu),
                 mem_bytes_per_gpu=(op.mem_bytes_per_gpu
-                                   + nxt.mem_bytes_per_gpu))
+                                   + nxt.mem_bytes_per_gpu),
+                pipelined=nxt.pipelined)
             i += 1
         out.append(op)
         i += 1

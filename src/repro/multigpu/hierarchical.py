@@ -326,16 +326,8 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
         self._cross_inplace(per_node, root_p, scale=None,
                             detail="hier-intra-cross")
 
-        # 3. inter-node twiddle w^(s_node * k1), fused: each GPU decodes
-        # the k1 its slots hold from the node-spectral layout.
-        for gpu in cluster.gpus:
-            s_node = gpu.gpu_id // per_node
-            if not s_node:
-                continue
-            w_base = pow(root, s_node, p)
-            factors = [pow(w_base, j % m_node, p)
-                       for j in layout_slots(node_spectral)[gpu.gpu_id]]
-            gpu.shard = vec_mul(field, gpu.shard, factors)
+        # 3. inter-node twiddle w^(s_node * k1), fused.
+        self._inter_twiddle(node_spectral, root)
         self._charge_twiddle(m, detail="hier-inter-twiddle")
 
         # 4. inter-node all-to-all (column-aligned) + N-point cross.
@@ -375,14 +367,7 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
         node_spectral = NodeSpectralLayout(n=n, gpu_count=g, nodes=n_nodes)
         redistribute(cluster, exchange, node_spectral,
                      detail="hier-inv-inter-exchange")
-        for gpu in cluster.gpus:
-            s_node = gpu.gpu_id // per_node
-            if not s_node:
-                continue
-            w_base = pow(inv_root, s_node, p)
-            factors = [pow(w_base, j % m_node, p)
-                       for j in layout_slots(node_spectral)[gpu.gpu_id]]
-            gpu.shard = vec_mul(field, gpu.shard, factors)
+        self._inter_twiddle(node_spectral, inv_root)
         self._charge_twiddle(m, detail="hier-inv-inter-twiddle")
 
         # 3. inverse P-point cross transforms (scale 1/P) + intra-node
@@ -414,6 +399,22 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
         return DistributedVector(
             cluster=cluster,
             layout=NestedCyclicLayout(n=n, gpu_count=g, nodes=n_nodes))
+
+    def _inter_twiddle(self, node_spectral: Layout, root: int) -> None:
+        """Fused inter-node twiddle: the slot holding global index ``j``
+        on node ``s_node`` is scaled by ``root^(s_node * (j mod n/N))``,
+        read from one cached power table per node."""
+        field = self.field
+        p = field.modulus
+        m_node = node_spectral.n // self.nodes
+        slots = layout_slots(node_spectral)
+        for gpu in self.cluster.gpus:
+            s_node = gpu.gpu_id // self.per_node
+            if not s_node:
+                continue
+            table = default_cache.powers(field, pow(root, s_node, p), m_node)
+            gpu.shard = vec_mul(field, gpu.shard,
+                                [table[j % m_node] for j in slots[gpu.gpu_id]])
 
     def _cross_inplace(self, size: int, root: int, scale: int | None,
                        detail: str) -> None:

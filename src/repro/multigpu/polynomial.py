@@ -19,9 +19,11 @@ limb planes the big ZKP fields use): staging a packed array keeps it
 packed, transforms run resident on the reassembled array via
 :mod:`repro.field.packed` (bit-identical to the engine — UniNTT *is*
 the full-size transform, just distributed), pointwise legs combine
-shard pairs with the backend lane kernels, and every phase charges the
-cluster **exactly** what the materialized path would (the exchanges are
-priced from the counts of the same
+shard pairs with the backend lane kernels, and the cluster is charged
+**exactly** what the materialized path charges: both run the engine's
+one phase program (:meth:`UniNTTEngine.schedule`) through
+:func:`~repro.multigpu.unintt.execute_schedule`, the packed currency in
+its charge-only mode (exchanges priced from the counts of the same
 :class:`~repro.multigpu.layout.RelayoutPlan` the materialized exchange
 reads, via :meth:`repro.sim.cluster.SimCluster.charge_all_to_all`).  The packed
 path declines — falling back to lists transparently — when fault
@@ -42,10 +44,9 @@ from repro.field.prime_field import PrimeField
 from repro.field.vector import vec_add, vec_mul, vec_sub
 from repro.multigpu.base import DistributedVector, VectorCheckpoint
 from repro.multigpu.layout import (
-    BlockLayout, Layout, SpectralLayout, UniNTTExchangeLayout, collect,
-    distribute, layout_slots, relayout_plan,
+    Layout, collect, distribute, layout_slots,
 )
-from repro.multigpu.unintt import UniNTTEngine
+from repro.multigpu.unintt import UniNTTEngine, execute_schedule
 from repro.ntt.twiddle import default_cache
 from repro.sim.trace import TraceEvent
 
@@ -89,7 +90,7 @@ def _packed_engine_ops(engine: UniNTTEngine, n: int):
     ``None`` routes the caller to the materialized list path: the
     backend has no lane kernels (or packed execution is disabled), the
     size is below the crossover or the UniNTT G^2 floor, the engine is
-    not UniNTT (other engines have no phase-charge hooks to mirror), or
+    not UniNTT (other engines have no phase program to charge), or
     chaos instrumentation (fault injector / exchange checksums) needs
     real messages on the wire.  A *compute-only* fault plan is the
     exception: its corruption targets local results, which the packed
@@ -252,7 +253,6 @@ class DistributedPolynomial:
         out_layout = (engine.output_layout(self.n) if forward
                       else engine.input_layout(self.n))
         full = _packed_join(self.shards, src_layout)
-        coset = (coset_shift if forward else self.coset_shift) is not None
         shift = coset_shift if forward else self.coset_shift
         injector = engine.cluster.injector
         checker = getattr(engine, "abft_checker", None)
@@ -272,7 +272,14 @@ class DistributedPolynomial:
                 else:
                     out = packed_intt(ops, full, default_cache)
             start = injector.local_index if injector is not None else 0
-            self._charge_packed_transform(forward, coset)
+            # Charge-only run of the engine's phase program: the cluster
+            # shards are stale (the data is resident in the packed
+            # array), so the local-compute hooks advance the injector's
+            # step counter without buffers, and this leg's compute
+            # faults are replayed onto the packed output below.
+            execute_schedule(
+                engine.schedule(self.n, not forward, shift is not None),
+                engine.cluster)
             if injector is not None \
                     and hasattr(injector, "has_compute_faults") \
                     and injector.has_compute_faults(start,
@@ -323,54 +330,6 @@ class DistributedPolynomial:
                                     buffers)
         ops = _packed_engine_ops(self.engine, self.n)
         return pack_values(ops, collect(shards, out_layout))
-
-    def _charge_packed_transform(self, forward: bool, coset: bool) -> None:
-        """Mirror the engine's per-phase charges and trace events.
-
-        Same order, details, compute charges, and (count-priced)
-        exchanges as :meth:`UniNTTEngine.forward` / ``inverse``, so a
-        trace from the packed path is indistinguishable from the
-        materialized one.
-        """
-        engine = self.engine
-        cluster = engine.cluster
-        n = self.n
-        g = engine.gpu_count
-        m = n // g
-        block = BlockLayout(n=n, gpu_count=g)
-        exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
-        spectral = SpectralLayout(n=n, gpu_count=g)
-        # live=False: the cluster shards are stale (the data is resident
-        # in the packed array), so the local-compute hooks advance the
-        # injector's step counter without handing it buffers — compute
-        # faults for this leg are replayed onto the packed output by
-        # :meth:`_replay_compute_faults` instead.
-        if forward:
-            if coset:
-                engine._charge_coset(m, live=False)
-            engine._charge_local_ntt(m, twiddle=True, detail="unintt-local",
-                                     live=False)
-            cluster.charge_all_to_all(
-                relayout_plan(block, exchange).counts,
-                detail="unintt-exchange")
-            engine._charge_cross(m, detail="unintt-cross", live=False)
-            if not engine.options.keep_permuted_output:
-                cluster.charge_all_to_all(
-                    relayout_plan(spectral, block).counts,
-                    detail="unintt-materialize")
-            return
-        if not engine.options.keep_permuted_output:
-            cluster.charge_all_to_all(
-                relayout_plan(block, spectral).counts,
-                detail="unintt-dematerialize")
-        engine._charge_cross(m, detail="unintt-inv-cross", scaled=True,
-                             live=False)
-        cluster.charge_all_to_all(relayout_plan(exchange, block).counts,
-                                  detail="unintt-inv-exchange")
-        engine._charge_local_ntt(m, twiddle=True, scaled=True,
-                                 detail="unintt-inv-local", live=False)
-        if coset:
-            engine._charge_coset(m, live=False)
 
     # -- pointwise algebra (zero communication) ------------------------------------
 

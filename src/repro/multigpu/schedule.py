@@ -20,22 +20,29 @@ set, as toggles the ablation benchmark flips:
   "do more per visit" idea that tiling applies at the memory level).
 
 The second half of the module is the **symbolic schedule**: a
-:class:`CommSchedule` is the list of local passes and shard transfers an
-engine would execute, derived from the *same* layouts and accounting
-formulas the engines use, but containing no data.  It is the object the
-plan verifier (:mod:`repro.analysis.plancheck`) walks: every op declares
-which dataflow *tag* it consumes and produces, so read-before-write,
-lost/duplicated transfers and deadlocks are decidable without running
-the simulator.  Because transfers are read from the same
+:class:`CommSchedule` is the list of local passes and shard transfers of
+one run, with exact accounting but no data.  For UniNTT it is *the*
+phase program: :func:`build_unintt_schedule` writes the forward and
+inverse phase sequences once, and every consumer reads that object —
+the engine executes it (:func:`repro.multigpu.unintt.execute_schedule`,
+on list shards or charge-only for packed ones), the cost profile prices
+it (:func:`repro.hw.plancost.schedule_steps`), the schedule interpreter
+runs it, and the plan verifier (:mod:`repro.analysis.plancheck`) walks
+it.  Every op declares which dataflow *tag* it consumes and produces,
+so read-before-write, lost/duplicated transfers and deadlocks are
+decidable without running the simulator.  Each exchange carries its
+source and target layouts, and its transfers equal the counts of the
 :class:`~repro.multigpu.layout.RelayoutPlan` that
-:func:`~repro.multigpu.base.redistribute` builds its outboxes from, the
-schedule's byte totals equal the simulator's traced totals bit-for-bit.
+:func:`~repro.multigpu.base.redistribute` moves the data with
+(:func:`make_transfers` reads them; UniNTT's uniform exchanges state
+them in closed form), so the schedule's byte totals equal the
+simulator's traced totals bit-for-bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Union
+from typing import Optional, Union
 
 from repro.multigpu import accounting as acct
 from repro.multigpu.layout import (
@@ -133,6 +140,9 @@ class LocalOp:
     level: str = "gpu"
     field_muls_per_gpu: int = 0
     mem_bytes_per_gpu: int = 0
+    #: Overlap this kernel chunk by chunk with the collective that
+    #: consumes its output (see :attr:`ExchangeOp.pipelined`).
+    pipelined: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,7 +154,9 @@ class ExchangeOp:
     ``expected_in_bytes[dst]`` is how many bytes GPU ``dst`` must
     receive for its new shard to be complete — the verifier flags a
     shortfall as a lost transfer (and the shard stays stale) and an
-    excess as a duplicated transfer.
+    excess as a duplicated transfer.  ``source`` and ``target`` are the
+    layouts the exchange moves the data between (``None`` for ops
+    written by hand, which can be verified and priced but not run).
     """
 
     name: str
@@ -158,6 +170,8 @@ class ExchangeOp:
     #: op that consumes its output (SCCL's recv-copy-send chaining).
     #: Pure scheduling metadata — moves no bytes, changes no dataflow.
     pipelined: bool = False
+    source: Optional[Layout] = None
+    target: Optional[Layout] = None
 
     def total_bytes(self) -> int:
         return sum(t.nbytes for t in self.transfers)
@@ -261,67 +275,116 @@ def make_transfers(source: Layout, target: Layout,
         if src != dst and counts[src][dst])
 
 
-def _relayout_op(name: str, source: Layout, target: Layout,
-                 element_bytes: int, consumes: str,
-                 produces: str) -> ExchangeOp:
-    transfers = make_transfers(source, target, element_bytes)
-    received = [0] * source.gpu_count
-    for t in transfers:
-        received[t.dst] += t.nbytes
-    return ExchangeOp(name=name, consumes=consumes, produces=produces,
-                      transfers=transfers,
-                      expected_in_bytes=tuple(received))
+def _exchange_op(name: str, source: Layout, target: Layout,
+                 element_bytes: int, produces: str,
+                 pipelined: bool = False) -> ExchangeOp:
+    """One UniNTT relayout ``source -> target``.
+
+    Every UniNTT exchange is a uniform all-to-all, each GPU sending
+    ``n/G^2`` elements to every other GPU (the one-exchange property),
+    so its transfers are written in closed form: equal to
+    :func:`make_transfers` of the same layouts, without walking an
+    ``n``-element relayout plan to price a 2^28 transform.
+    """
+    g = source.gpu_count
+    nbytes = source.n // (g * g) * element_bytes
+    return ExchangeOp(
+        name=name, consumes="", produces=produces,
+        transfers=tuple(ShardTransfer(src=src, dst=dst, nbytes=nbytes)
+                        for src in range(g) for dst in range(g)
+                        if src != dst),
+        expected_in_bytes=(nbytes * (g - 1),) * g, pipelined=pipelined,
+        source=source, target=target)
 
 
 def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
                           options: UniNTTOptions = ALL_ON,
-                          tile: int = 4096) -> CommSchedule:
-    """The symbolic forward UniNTT run.
+                          tile: int = 4096, *, inverse: bool = False,
+                          coset: bool = False,
+                          pipelined: bool = False) -> CommSchedule:
+    """The UniNTT phase program for one transform of size ``n``.
 
-    Op-for-op mirror of :meth:`repro.multigpu.unintt.UniNTTEngine.forward`
-    (without a coset shift), using the same accounting formulas, so both
+    Forward: local M-point transforms on the cyclic layout (twiddle
+    fused, or a standalone ``unintt-local-twiddle`` sweep), the one
+    all-to-all, the G-point cross transforms, and, without
+    ``keep_permuted_output``, the exchange that materializes natural
+    order.  Inverse: the same phases undone in reverse (the cross
+    transforms scale by 1/G, the local ones by 1/M), charged in the
+    order the engine runs them.  ``coset`` adds the fused coset scaling
+    (first in the forward, last in the inverse).
+
+    The op names are the trace details the run records, and the
+    charges are the :mod:`~repro.multigpu.accounting` formulas, so
     :meth:`CommSchedule.bytes_by_level` and
-    :meth:`CommSchedule.total_field_muls` match the simulator trace.
+    :meth:`CommSchedule.total_field_muls` equal the simulator trace.
+    ``pipelined`` marks the exchange and the cross transforms on its
+    far side as one overlapped pair, which is what ``options.overlap``
+    buys; the engine's cost profile sets it from its options, while
+    the planner's hand-written candidate leaves it to the
+    pipeline-fusion pass.
     """
     g = gpu_count
     if n < g * g:
         raise ValueError(f"UniNTT needs n >= G^2 ({n} < {g}^2)")
     m = n // g
     eb = element_bytes
+    scale = m if inverse else 0
+    prefix = "unintt-inv-" if inverse else "unintt-"
+
+    coset_op = LocalOp(
+        name="unintt-coset", consumes="", produces="coset",
+        field_muls_per_gpu=2 * m,
+        mem_bytes_per_gpu=(0 if options.fused_twiddle
+                           else acct.pointwise_mem_bytes(m, eb)))
 
     local_muls = (radix4.radix4_multiply_count(m) if options.radix_fusion
-                  else acct.local_ntt_muls(m))
+                  else acct.local_ntt_muls(m)) + scale
     if options.fused_twiddle:
         local_muls += acct.twiddle_muls(m)
-
-    ops: list[ScheduleOp] = [LocalOp(
-        name="local-ntt", consumes=INPUT_TAG, produces="local",
+    local = [LocalOp(
+        name=f"{prefix}local", consumes="", produces="local",
         field_muls_per_gpu=local_muls,
         mem_bytes_per_gpu=acct.local_ntt_mem_bytes(m, eb, tile))]
-    tag = "local"
     if not options.fused_twiddle:
-        ops.append(LocalOp(
-            name="twiddle-pass", consumes=tag, produces="twiddled",
-            field_muls_per_gpu=acct.twiddle_muls(m),
+        local.append(LocalOp(
+            name=f"{prefix}local-twiddle", consumes="local",
+            produces="twiddled", field_muls_per_gpu=acct.twiddle_muls(m),
             mem_bytes_per_gpu=acct.pointwise_mem_bytes(m, eb)))
-        tag = "twiddled"
-
+    cross = LocalOp(
+        name=f"{prefix}cross", consumes="",
+        produces="crossed" if inverse else "spectral",
+        field_muls_per_gpu=acct.small_batch_ntt_muls(m // g, g) + scale,
+        mem_bytes_per_gpu=acct.small_batch_mem_bytes(m // g, g, eb),
+        pipelined=pipelined and inverse)
     unit_major = BlockLayout(n=n, gpu_count=g)
-    exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
-    ops.append(_relayout_op("unintt-exchange", unit_major, exchange, eb,
-                            consumes=tag, produces="exchanged"))
-    ops.append(LocalOp(
-        name="cross-ntt", consumes="exchanged", produces="spectral",
-        field_muls_per_gpu=acct.small_batch_ntt_muls(m // g, g),
-        mem_bytes_per_gpu=acct.small_batch_mem_bytes(m // g, g, eb)))
-    if not options.keep_permuted_output:
-        spectral = SpectralLayout(n=n, gpu_count=g)
-        natural = BlockLayout(n=n, gpu_count=g)
-        ops.append(_relayout_op("unintt-materialize", spectral, natural,
-                                eb, consumes="spectral",
-                                produces="natural"))
-    return CommSchedule(name=f"unintt[{options.label()}]", num_gpus=g,
-                        element_bytes=eb, ops=tuple(ops))
+    exchanged = UniNTTExchangeLayout(n=n, gpu_count=g)
+    spectral = SpectralLayout(n=n, gpu_count=g)
+    materialize = not options.keep_permuted_output
+
+    if inverse:
+        ops: list[ScheduleOp] = [
+            *([_exchange_op("unintt-dematerialize", unit_major, spectral,
+                            eb, "spectral")] if materialize else []),
+            cross,
+            _exchange_op("unintt-inv-exchange", exchanged, unit_major, eb,
+                         "unit-major"),
+            *local,
+            *([coset_op] if coset else [])]
+    else:
+        ops = [
+            *([coset_op] if coset else []),
+            *local,
+            _exchange_op("unintt-exchange", unit_major, exchanged, eb,
+                         "exchanged", pipelined=pipelined),
+            cross,
+            *([_exchange_op("unintt-materialize", spectral, unit_major,
+                            eb, "natural")] if materialize else [])]
+    # Each op consumes what the one before it produced.
+    tags = [INPUT_TAG] + [op.produces for op in ops[:-1]]
+    ops = [replace(op, consumes=tag) for op, tag in zip(ops, tags)]
+    direction = "-inverse" if inverse else ""
+    return CommSchedule(name=f"unintt[{options.label()}]{direction}",
+                        num_gpus=g, element_bytes=eb, ops=tuple(ops))
 
 
 def build_pairwise_schedule(n: int, gpu_count: int, element_bytes: int,

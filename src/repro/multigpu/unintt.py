@@ -18,32 +18,182 @@ the uniform optimizations of :mod:`repro.multigpu.schedule`:
   NTT -> pointwise -> INTT round trip pays exactly **two** all-to-alls
   where the baseline pays six.
 
+The phase sequence is written once, as the
+:class:`~repro.multigpu.schedule.CommSchedule` that
+:func:`~repro.multigpu.schedule.build_unintt_schedule` returns.  The
+engine builds it once per (size, direction, coset-or-not), shared by
+every engine of the same configuration, and runs it through
+:func:`execute_schedule`; its cost profile is the same schedule priced
+by :func:`~repro.hw.plancost.schedule_steps`.  This module adds only
+the arithmetic of each op (:func:`unintt_kernels`).  The packed
+polynomial path and the schedule interpreter run the same executor.
+
 The local transforms follow a hierarchical plan
 (:func:`repro.ntt.plan.hierarchical_plan` restricted to the intra-GPU
 levels), which is what "the same NTT computation at different scales"
-means operationally: this module's step list *is* the plan's split node,
+means operationally: the schedule's phases *are* the plan's split node,
 and the local kernel recursion repeats it per level.
 """
 
 from __future__ import annotations
 
-from repro.errors import PartitionError
+import functools
+from typing import Callable, Mapping, Optional
+
+from repro.errors import PartitionError, SchedulePassError
+from repro.field.prime_field import PrimeField
 from repro.field.vector import vec_mul, vec_scale
-from repro.hw.cost import Phase, PipelinedGroup, Step
-from repro.multigpu import accounting as acct
+from repro.hw.cost import Step
+from repro.hw.plancost import schedule_steps
 from repro.multigpu.base import (
     DistributedNTTEngine, DistributedVector, redistribute,
 )
 from repro.multigpu.layout import (
-    BlockLayout, CyclicLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
+    BlockLayout, CyclicLayout, Layout, SpectralLayout, relayout_plan,
 )
-from repro.multigpu.schedule import ALL_ON, UniNTTOptions
-from repro.ntt import radix2, radix4
+from repro.multigpu.schedule import (
+    ALL_ON, CommSchedule, ExchangeOp, LocalOp, UniNTTOptions,
+    build_unintt_schedule,
+)
+from repro.ntt import radix2
 from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
-from repro.sim.trace import TraceEvent
 
-__all__ = ["UniNTTEngine"]
+__all__ = ["UniNTTEngine", "execute_schedule", "unintt_kernels"]
+
+#: ``kernel(gpu_id, shard) -> shard``: one op's arithmetic on one GPU.
+Kernel = Callable[[int, list], list]
+
+
+def unintt_kernels(field: PrimeField, n: int, gpu_count: int,
+                   inverse: bool = False,
+                   coset_shift: Optional[int] = None,
+                   ) -> dict[str, Optional[Kernel]]:
+    """The arithmetic of every UniNTT op of one direction, by op name.
+
+    The standalone ``-local-twiddle`` sweeps map to ``None``: the local
+    kernel applies the twiddle itself, so the values are the same with
+    or without fusion and the sweep only prices the memory pass that
+    ``fused_twiddle`` deletes.  The coset scaling ``x[j] *= c^j``
+    decomposes along the cyclic layout as ``c^(q*G) * c^s`` — a local
+    geometric series times a per-GPU constant — with ``c`` the shift
+    (forward) or its inverse (inverse).
+    """
+    p = field.modulus
+    g = gpu_count
+    m = n // g
+    root = field.root_of_unity(n)
+    if inverse:
+        root = field.inv(root)
+    root_m = pow(root, g, p)
+    root_g = pow(root, m, p)
+
+    def twiddle(s: int, shard: list) -> list:
+        if not s:
+            return shard
+        return vec_mul(field, shard,
+                       default_cache.powers(field, pow(root, s, p), m))
+
+    def local(s: int, shard: list) -> list:
+        return twiddle(s, radix2.ntt(field, shard, default_cache,
+                                     root=root_m))
+
+    def cross(s: int, shard: list) -> list:
+        # M/G independent G-point transforms, in place over each
+        # contiguous G-group.
+        for base in range(0, m, g):
+            shard[base:base + g] = radix2.ntt(
+                field, shard[base:base + g], default_cache, root=root_g)
+        return shard
+
+    if inverse:
+        g_inv = field.inv(g % p)
+        m_inv = field.inv(m % p)
+        kernels: dict[str, Optional[Kernel]] = {
+            "unintt-inv-cross": lambda s, shard: vec_scale(
+                field, cross(s, shard), g_inv),
+            "unintt-inv-local": lambda s, shard: vec_scale(
+                field, radix2.ntt(field, twiddle(s, shard), default_cache,
+                                  root=root_m), m_inv),
+            "unintt-inv-local-twiddle": None,
+        }
+    else:
+        kernels = {"unintt-local": local, "unintt-local-twiddle": None,
+                   "unintt-cross": cross}
+    if coset_shift is not None:
+        if coset_shift % p == 0:
+            raise PartitionError("coset shift must be non-zero")
+        c = field.inv(coset_shift) if inverse else coset_shift
+        factors = default_cache.powers(field, pow(c, g, p), m)
+        kernels["unintt-coset"] = lambda s, shard: vec_scale(
+            field, vec_mul(field, shard, factors), pow(c, s, p))
+    return kernels
+
+
+def execute_schedule(schedule: CommSchedule, cluster: SimCluster,
+                     kernels: Optional[Mapping[str, Optional[Kernel]]]
+                     = None,
+                     exchange: Optional[Callable[[ExchangeOp], None]]
+                     = None) -> None:
+    """Run a UniNTT phase program on ``cluster``, op by op.
+
+    With ``kernels`` (list shards) each :class:`LocalOp` applies its
+    kernels (a merged ``a+b`` op applies both, in order) to every GPU's
+    shard and then charges through
+    :meth:`~repro.sim.cluster.SimCluster.charge_local` with the live
+    shards, so the fault-injector and ABFT hooks see exactly what the op
+    wrote; exchanges move the shards with ``exchange`` (default:
+    :func:`~repro.multigpu.base.redistribute` between the op's layouts).
+    Without ``kernels`` (packed shards, whose data the devices never
+    hold) it only charges: local ops with ``buffers=None`` and exchanges
+    by the relayout plan's counts.  A schedule it cannot run is refused
+    before anything is charged.
+    """
+    for op in schedule.ops:
+        if isinstance(op, LocalOp):
+            missing = [] if kernels is None else [
+                part for part in op.name.split("+") if part not in kernels]
+            if missing:
+                raise SchedulePassError(
+                    f"{schedule.name!r}: no kernel for local op(s) "
+                    f"{missing!r}")
+        elif not isinstance(op, ExchangeOp) or op.source is None:
+            raise SchedulePassError(
+                f"{schedule.name!r}: cannot execute "
+                f"{type(op).__name__} {op.name!r} (no relayout)")
+    for op in schedule.ops:
+        if isinstance(op, ExchangeOp):
+            if kernels is None:
+                cluster.charge_all_to_all(
+                    relayout_plan(op.source, op.target).counts,
+                    detail=op.name)
+            elif exchange is not None:
+                exchange(op)
+            else:
+                redistribute(cluster, op.source, op.target, detail=op.name)
+            continue
+        buffers = None
+        if kernels is not None:
+            for part in op.name.split("+"):
+                kernel = kernels[part]
+                if kernel is not None:
+                    for gpu in cluster.gpus:
+                        gpu.shard = kernel(gpu.gpu_id, gpu.shard)
+            buffers = {gpu.gpu_id: [gpu.shard] for gpu in cluster.gpus}
+        cluster.charge_local(op.field_muls_per_gpu, op.mem_bytes_per_gpu,
+                             detail=op.name, buffers=buffers)
+
+
+@functools.lru_cache(maxsize=128)
+def _cached_program(n: int, gpu_count: int, element_bytes: int,
+             options: UniNTTOptions, tile: int, inverse: bool,
+             coset: bool) -> tuple[CommSchedule, tuple[Step, ...]]:
+    """One transform's phase program and its priced steps (immutable,
+    so engines of the same shape share them)."""
+    schedule = build_unintt_schedule(
+        n, gpu_count, element_bytes, options, tile, inverse=inverse,
+        coset=coset, pipelined=options.overlap)
+    return schedule, tuple(schedule_steps(schedule))
 
 
 class UniNTTEngine(DistributedNTTEngine):
@@ -52,47 +202,10 @@ class UniNTTEngine(DistributedNTTEngine):
     name = "unintt"
 
     def __init__(self, cluster: SimCluster, tile: int = 4096,
-                 options: UniNTTOptions = ALL_ON,
-                 vectorized: bool = False):
+                 options: UniNTTOptions = ALL_ON):
         super().__init__(cluster, tile)
         self.options = options
         self.name = f"unintt[{options.label()}]"
-        if vectorized:
-            from repro.field.presets import GOLDILOCKS
-
-            if cluster.field != GOLDILOCKS:
-                raise PartitionError(
-                    "vectorized local transforms are implemented for "
-                    f"Goldilocks only, not {cluster.field.name}")
-        self.vectorized = vectorized
-
-    def _local_transform(self, shard: list[int], root: int,
-                         twiddle_base: int | None, m: int) -> list[int]:
-        """One GPU's local M-point transform (+ optional fused twiddle).
-
-        The vectorized path runs the numpy Goldilocks kernels — the
-        same data-parallel schedule a CUDA kernel uses — and is
-        bit-identical to the scalar path.
-        """
-        field = self.field
-        p = field.modulus
-        if self.vectorized:
-            import numpy as np
-
-            from repro.field.goldilocks import gl_mul, gl_ntt
-
-            out = gl_ntt(np.asarray(shard, dtype=np.uint64), root=root)
-            if twiddle_base is not None:
-                tw = np.asarray(
-                    default_cache.powers(field, twiddle_base, m),
-                    dtype=np.uint64)
-                out = gl_mul(out, tw)
-            return [int(v) for v in out]
-        out = radix2.ntt(field, shard, default_cache, root=root)
-        if twiddle_base is not None:
-            tw = default_cache.powers(field, twiddle_base, m)
-            out = vec_mul(field, out, tw)
-        return out
 
     # -- layouts -----------------------------------------------------------
 
@@ -110,275 +223,50 @@ class UniNTTEngine(DistributedNTTEngine):
             raise PartitionError(
                 f"UniNTT needs n >= G^2 ({n} < {g}^2)")
 
-    # -- functional ------------------------------------------------------------
+    # -- the phase program ----------------------------------------------------
+
+    def schedule(self, n: int, inverse: bool = False,
+                 coset: bool = False) -> CommSchedule:
+        """The phase program of one transform (built once per shape)."""
+        return self._program(n, inverse, coset)[0]
+
+    def _program(self, n: int, inverse: bool,
+                 coset: bool) -> tuple[CommSchedule, tuple[Step, ...]]:
+        self._check_size(n)
+        return _cached_program(n, self.gpu_count,
+                               self.cluster.element_bytes, self.options,
+                               self.tile, inverse, coset)
 
     def forward(self, vec: DistributedVector,
                 coset_shift: int | None = None) -> DistributedVector:
-        """Forward transform; ``coset_shift`` evaluates on ``shift * H``.
-
-        The coset scaling ``x[j] *= shift^j`` decomposes along the
-        cyclic layout as ``shift^(q*G) * shift^s`` — a per-GPU constant
-        times a local geometric series — so it fuses into the local
-        twiddle pass at zero extra memory traffic (the distributed
-        instance of the coset-NTT fusion ZKP pipelines rely on).
-        """
-        n = vec.n
-        self._check_size(n)
-        self._check_input(vec, self.input_layout(n))
-        g = self.gpu_count
-        m = n // g
-        field = self.field
-        p = field.modulus
-        root = field.root_of_unity(n)
-        cluster = self.cluster
-
-        # 0. fused coset scaling (local; charged with the twiddles).
-        if coset_shift is not None:
-            if coset_shift % p == 0:
-                raise PartitionError("coset shift must be non-zero")
-            shift_g = pow(coset_shift, g, p)
-            for gpu in cluster.gpus:
-                s = gpu.gpu_id
-                factors = default_cache.powers(
-                    field, shift_g, m)
-                lead = pow(coset_shift, s, p)
-                gpu.shard = vec_scale(
-                    field, vec_mul(field, gpu.shard, factors), lead)
-            self._charge_coset(m)
-
-        # 1+2. local M-point transforms with the twiddle scaling fused
-        # (functionally the twiddle is applied right after; the *charge*
-        # differs: fused costs no extra memory sweep).
-        root_m = pow(root, g, p)
-        for gpu in cluster.gpus:
-            s = gpu.gpu_id
-            gpu.shard = self._local_transform(
-                gpu.shard, root_m,
-                pow(root, s, p) if s else None, m)
-        self._charge_local_ntt(m, twiddle=True, detail="unintt-local")
-
-        # 3. the single all-to-all.
-        unit_major = BlockLayout(n=n, gpu_count=g)
-        exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
-        redistribute(cluster, unit_major, exchange, detail="unintt-exchange")
-
-        # 4. cross transforms: M/G independent G-point NTTs per GPU,
-        # in place over each contiguous G-group.
-        root_g = pow(root, m, p)
-        chunk = m // g
-        for gpu in cluster.gpus:
-            shard = gpu.shard
-            for group in range(chunk):
-                base = group * g
-                shard[base:base + g] = radix2.ntt(
-                    field, shard[base:base + g], default_cache, root=root_g)
-        self._charge_cross(m, detail="unintt-cross")
-
-        out = DistributedVector(
-            cluster=cluster, layout=SpectralLayout(n=n, gpu_count=g))
-        if not self.options.keep_permuted_output:
-            out = out.relayout(BlockLayout(n=n, gpu_count=g),
-                               detail="unintt-materialize")
-        return out
+        """Forward transform; ``coset_shift`` evaluates on ``shift * H``
+        (the scaling is fused into the local twiddle pass)."""
+        return self._run(vec, False, coset_shift)
 
     def inverse(self, vec: DistributedVector,
                 coset_shift: int | None = None) -> DistributedVector:
         """Inverse transform; ``coset_shift`` interprets the spectrum as
         evaluations on ``shift * H`` (undoing :meth:`forward`'s fused
         scaling after the transform)."""
+        return self._run(vec, True, coset_shift)
+
+    def _run(self, vec: DistributedVector, inverse: bool,
+             coset_shift: int | None) -> DistributedVector:
         n = vec.n
-        self._check_size(n)
-        g = self.gpu_count
-        m = n // g
-        field = self.field
-        p = field.modulus
-        root = field.root_of_unity(n)
-        inv_root = field.inv(root)
-        cluster = self.cluster
-
-        spectral = SpectralLayout(n=n, gpu_count=g)
-        if not self.options.keep_permuted_output:
-            # The engine hands out natural order, so it must also accept
-            # it back: restore the spectral layout first.
-            self._check_input(vec, BlockLayout(n=n, gpu_count=g))
-            vec = vec.relayout(spectral, detail="unintt-dematerialize")
-        else:
-            self._check_input(vec, spectral)
-
-        # 1. inverse cross transforms (scale 1/G each).
-        inv_root_g = pow(inv_root, m, p)
-        chunk = m // g
-        g_inv = field.inv(g % p)
-        for gpu in cluster.gpus:
-            shard = gpu.shard
-            for group in range(chunk):
-                base = group * g
-                piece = radix2.ntt(field, shard[base:base + g],
-                                   default_cache, root=inv_root_g)
-                shard[base:base + g] = vec_scale(field, piece, g_inv)
-        self._charge_cross(m, detail="unintt-inv-cross", scaled=True)
-
-        # 2. the single all-to-all, back to unit-major order.
-        unit_major = BlockLayout(n=n, gpu_count=g)
-        exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
-        redistribute(cluster, exchange, unit_major,
-                     detail="unintt-inv-exchange")
-
-        # 3. fused inverse twiddle + local M-point inverse transforms
-        # (scale 1/M; total scaling 1/G * 1/M = 1/n).
-        inv_root_m = pow(inv_root, g, p)
-        m_inv = field.inv(m % p)
-        for gpu in cluster.gpus:
-            s = gpu.gpu_id
-            shard = gpu.shard
-            if s:
-                tw = default_cache.powers(field, pow(inv_root, s, p), m)
-                shard = vec_mul(field, shard, tw)
-            piece = radix2.ntt(field, shard, default_cache, root=inv_root_m)
-            gpu.shard = vec_scale(field, piece, m_inv)
-        self._charge_local_ntt(m, twiddle=True, scaled=True,
-                               detail="unintt-inv-local")
-
-        # Fused inverse coset scaling: x[j] *= shift^-j, decomposed
-        # along the cyclic layout exactly like the forward pass.
-        if coset_shift is not None:
-            if coset_shift % p == 0:
-                raise PartitionError("coset shift must be non-zero")
-            inv_shift = field.inv(coset_shift)
-            inv_shift_g = pow(inv_shift, g, p)
-            for gpu in cluster.gpus:
-                s = gpu.gpu_id
-                factors = default_cache.powers(field, inv_shift_g, m)
-                lead = pow(inv_shift, s, p)
-                gpu.shard = vec_scale(
-                    field, vec_mul(field, gpu.shard, factors), lead)
-            self._charge_coset(m)
-        return DistributedVector(cluster=cluster,
-                                 layout=CyclicLayout(n=n, gpu_count=g))
-
-    # -- accounting --------------------------------------------------------------
-
-    def _local_ntt_muls(self, m: int) -> int:
-        if self.options.radix_fusion:
-            return radix4.radix4_multiply_count(m)
-        return acct.local_ntt_muls(m)
-
-    def _charge_local_ntt(self, m: int, twiddle: bool, detail: str,
-                          scaled: bool = False, live: bool = True) -> None:
-        eb = self.cluster.element_bytes
-        muls = self._local_ntt_muls(m)
-        mem = acct.local_ntt_mem_bytes(m, eb, self.tile)
-        if twiddle and self.options.fused_twiddle:
-            muls += acct.twiddle_muls(m)
-        if scaled:
-            muls += m  # the 1/M scaling multiply
-        buffers = self._live_buffers() if live else None
-        for gpu in self.cluster.gpus:
-            gpu.charge_compute(muls, mem)
-        self.cluster.trace.record(TraceEvent(
-            kind="local-compute", level="gpu", max_bytes_per_gpu=mem,
-            total_bytes=mem * self.gpu_count,
-            field_muls=muls * self.gpu_count, detail=detail))
-        self.cluster.local_compute_hook(buffers, detail)
-        if twiddle and not self.options.fused_twiddle:
-            # A standalone twiddle kernel: its own launch and memory sweep.
-            tw_muls = acct.twiddle_muls(m)
-            tw_mem = acct.pointwise_mem_bytes(m, eb)
-            for gpu in self.cluster.gpus:
-                gpu.charge_compute(tw_muls, tw_mem)
-            self.cluster.trace.record(TraceEvent(
-                kind="local-compute", level="gpu",
-                max_bytes_per_gpu=tw_mem,
-                total_bytes=tw_mem * self.gpu_count,
-                field_muls=tw_muls * self.gpu_count,
-                detail=f"{detail}-twiddle"))
-            self.cluster.local_compute_hook(buffers, f"{detail}-twiddle")
-
-    def _charge_coset(self, m: int, live: bool = True) -> None:
-        """Fused coset scaling: multiplications only, no memory sweep
-        when twiddle fusion is on; a standalone pass otherwise."""
-        eb = self.cluster.element_bytes
-        mem = 0 if self.options.fused_twiddle \
-            else acct.pointwise_mem_bytes(m, eb)
-        for gpu in self.cluster.gpus:
-            gpu.charge_compute(2 * m, mem)
-        self.cluster.trace.record(TraceEvent(
-            kind="local-compute", level="gpu", max_bytes_per_gpu=mem,
-            total_bytes=mem * self.gpu_count,
-            field_muls=2 * m * self.gpu_count, detail="unintt-coset"))
-        self.cluster.local_compute_hook(
-            self._live_buffers() if live else None, "unintt-coset")
-
-    def _charge_cross(self, m: int, detail: str,
-                      scaled: bool = False, live: bool = True) -> None:
-        g = self.gpu_count
-        eb = self.cluster.element_bytes
-        muls = acct.small_batch_ntt_muls(m // g, g)
-        if scaled:
-            muls += m
-        mem = acct.small_batch_mem_bytes(m // g, g, eb)
-        for gpu in self.cluster.gpus:
-            gpu.charge_compute(muls, mem)
-        self.cluster.trace.record(TraceEvent(
-            kind="local-compute", level="gpu", max_bytes_per_gpu=mem,
-            total_bytes=mem * g, field_muls=muls * g, detail=detail))
-        self.cluster.local_compute_hook(
-            self._live_buffers() if live else None, detail)
+        schedule = self.schedule(n, inverse, coset_shift is not None)
+        self._check_input(vec, self.output_layout(n) if inverse
+                          else self.input_layout(n))
+        execute_schedule(schedule, self.cluster, unintt_kernels(
+            self.field, n, self.gpu_count, inverse, coset_shift))
+        return DistributedVector(
+            cluster=self.cluster,
+            layout=self.input_layout(n) if inverse
+            else self.output_layout(n))
 
     # -- analytic ----------------------------------------------------------------
 
-    def _profile(self, n: int, inverse: bool) -> list[Step]:
-        self._check_size(n)
-        g = self.gpu_count
-        eb = self.cluster.element_bytes
-        m = n // g
-        opts = self.options
-
-        local_muls = self._local_ntt_muls(m)
-        if opts.fused_twiddle:
-            local_muls += acct.twiddle_muls(m)
-        local_mem = acct.local_ntt_mem_bytes(m, eb, self.tile)
-        if inverse:
-            local_muls += m  # 1/M scaling
-
-        cross_muls = acct.small_batch_ntt_muls(m // g, g)
-        if inverse:
-            cross_muls += m  # 1/G scaling
-        cross_mem = acct.small_batch_mem_bytes(m // g, g, eb)
-
-        local = Phase(name="local-ntt", field_muls=local_muls,
-                      mem_bytes=local_mem)
-        a2a = Phase(name="exchange",
-                    exchange_bytes=acct.alltoall_bytes_per_gpu(m, g, eb),
-                    messages=g - 1)
-        cross = Phase(name="cross-ntt", field_muls=cross_muls,
-                      mem_bytes=cross_mem)
-
-        local_steps: list[Step] = [local]
-        if not opts.fused_twiddle:
-            local_steps.append(Phase(
-                name="twiddle-pass", field_muls=acct.twiddle_muls(m),
-                mem_bytes=acct.pointwise_mem_bytes(m, eb)))
-        if opts.overlap:
-            core: list[Step] = local_steps + [
-                PipelinedGroup(name="exchange+cross", phases=(a2a, cross))]
-        else:
-            core = local_steps + [a2a, cross]
-        if inverse:
-            core.reverse()
-        if not opts.keep_permuted_output:
-            materialize = Phase(
-                name="materialize",
-                exchange_bytes=acct.alltoall_bytes_per_gpu(m, g, eb),
-                messages=g - 1)
-            if inverse:
-                core.insert(0, materialize)
-            else:
-                core.append(materialize)
-        return core
-
     def forward_profile(self, n: int) -> list[Step]:
-        return self._profile(n, inverse=False)
+        return list(self._program(n, False, False)[1])
 
     def inverse_profile(self, n: int) -> list[Step]:
-        return self._profile(n, inverse=True)
+        return list(self._program(n, True, False)[1])

@@ -3,7 +3,7 @@
 :class:`ProofServer` turns a stream of
 :class:`~repro.serve.request.ProofRequest` records into completed
 transforms over one simulated machine.  The loop is a discrete-event
-simulation on a :class:`~repro.serve.clock.VirtualClock` — no wall
+simulation on a :class:`~repro.runtime.clock.VirtualClock` — no wall
 time anywhere — so the same workload replays bit-identically:
 
 1. **Admit** every request whose arrival time has passed into the
@@ -69,8 +69,8 @@ from repro.hw.machines import DGX_A100
 from repro.hw.model import MachineModel
 from repro.multigpu.abft import AbftChecker, ProbeLedger
 from repro.multigpu.batch_engine import BatchedDistributedNTT
+from repro.runtime.clock import VirtualClock
 from repro.serve.cache import PLAN_MISS_MESSAGES, PlanCache, TwiddleLedger
-from repro.serve.clock import VirtualClock
 from repro.serve.degrade import CircuitBreaker, DegradePolicy, SdcScoreboard
 from repro.serve.durability import (
     JOURNAL_MESSAGES, RECOVER_MESSAGES, REPLAY_MESSAGES_PER_RECORD,

@@ -27,14 +27,15 @@ def checks_of(findings):
 
 class TestMergeLocalOps:
     def test_fuses_local_ntt_with_twiddle_pass(self):
-        # Disabling fused_twiddle gives local-ntt -> twiddle-pass, the
-        # exact chain the merge pass re-fuses at the schedule level.
+        # Disabling fused_twiddle gives the local transform followed by
+        # a standalone twiddle sweep, the exact chain the merge pass
+        # re-fuses at the schedule level.
         options = UniNTTOptions(fused_twiddle=False)
         schedule = build_unintt_schedule(256, 4, EB, options)
         names = [op.name for op in schedule.ops]
-        assert names[:2] == ["local-ntt", "twiddle-pass"]
+        assert names[:2] == ["unintt-local", "unintt-local-twiddle"]
         merged = merge_local_ops(schedule)
-        assert merged.ops[0].name == "local-ntt+twiddle-pass"
+        assert merged.ops[0].name == "unintt-local+unintt-local-twiddle"
         assert len(merged.ops) == len(schedule.ops) - 1
 
     def test_merged_op_sums_charges(self):
@@ -57,12 +58,13 @@ class TestMergeLocalOps:
     def test_does_not_merge_when_tag_has_other_readers(self):
         options = UniNTTOptions(fused_twiddle=False)
         schedule = build_unintt_schedule(256, 4, EB, options)
-        spy = LocalOp(name="twiddle-pass", consumes=schedule.ops[0].produces,
+        spy = LocalOp(name="unintt-local-twiddle",
+                      consumes=schedule.ops[0].produces,
                       produces="spy-out", level="gpu",
                       field_muls_per_gpu=1, mem_bytes_per_gpu=8)
         ops = (schedule.ops[0], schedule.ops[1], spy) + schedule.ops[2:]
         tapped = schedule.with_ops(ops)
-        assert merge_local_ops(tapped).ops[0].name == "local-ntt"
+        assert merge_local_ops(tapped).ops[0].name == "unintt-local"
 
 
 class TestDeadOpElimination:

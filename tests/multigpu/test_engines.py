@@ -15,7 +15,9 @@ import random
 import pytest
 
 from repro.errors import PartitionError, SimulationError
-from repro.field import BLS12_381_FR, GOLDILOCKS, TEST_FIELD_7681
+from repro.field import (
+    BLS12_381_FR, GOLDILOCKS, TEST_FIELD_7681, numpy_available, use_backend,
+)
 from repro.hw import DGX_A100, PipelinedGroup
 from repro.multigpu import (
     ALL_OFF, ALL_ON, BaselineFourStepEngine, BlockLayout, CyclicLayout,
@@ -28,6 +30,9 @@ from repro.sim import SimCluster
 F = TEST_FIELD_7681
 
 ENGINES = [SingleGpuEngine, BaselineFourStepEngine, UniNTTEngine]
+
+#: Pure Python, then the numpy uint64 lane kernels.
+BACKENDS = ("python", "numpy")
 
 
 def run_forward(engine_cls, field, g, n, rng, **kwargs):
@@ -370,48 +375,45 @@ class TestDistributedCoset:
         assert out.to_values() == negacyclic_ntt(F, x)
 
 
+@pytest.mark.skipif(not numpy_available(),
+                    reason="compares the numpy backend with pure Python")
 class TestVectorizedPath:
-    def test_bit_identical_to_scalar(self, rng):
-        n, g = 512, 4
-        x = GOLDILOCKS.random_vector(n, rng)
-        results = []
-        for flag in (False, True):
+    """The numpy lane kernels are the active backend's choice, not an
+    engine knob: under either backend the engine is bit-identical and
+    charges the same."""
+
+    @staticmethod
+    def round_trip(backend, x, coset_shift=None):
+        n, g = len(x), 4
+        with use_backend(backend):
             cluster = SimCluster(GOLDILOCKS, g)
-            engine = UniNTTEngine(cluster, vectorized=flag)
+            engine = UniNTTEngine(cluster)
             vec = DistributedVector.from_values(cluster, x,
                                                 engine.input_layout(n))
-            out = engine.forward(vec)
-            results.append(out.to_values())
-            assert engine.inverse(out).to_values() == x
-        assert results[0] == results[1] == ntt(GOLDILOCKS, x)
+            out = engine.forward(vec, coset_shift=coset_shift)
+            spectrum = out.to_values()
+            back = engine.inverse(out, coset_shift=coset_shift)
+            return (spectrum, back.to_values(),
+                    [gpu.counters.snapshot() for gpu in cluster.gpus])
+
+    def test_bit_identical_to_scalar(self, rng):
+        x = GOLDILOCKS.random_vector(512, rng)
+        scalar, lanes = (self.round_trip(b, x) for b in BACKENDS)
+        assert scalar[0] == lanes[0] == ntt(GOLDILOCKS, x)
+        assert scalar[1] == lanes[1] == x
 
     def test_counters_unchanged_by_vectorization(self, rng):
         """Vectorization is an implementation detail: the model's
         charges (the *algorithm's* work) are identical."""
-        n, g = 256, 4
-        x = GOLDILOCKS.random_vector(n, rng)
-        counters = []
-        for flag in (False, True):
-            cluster = SimCluster(GOLDILOCKS, g)
-            engine = UniNTTEngine(cluster, vectorized=flag)
-            vec = DistributedVector.from_values(cluster, x,
-                                                engine.input_layout(n))
-            engine.forward(vec)
-            counters.append(cluster.gpus[0].counters.snapshot())
-        assert counters[0] == counters[1]
-
-    def test_requires_goldilocks(self):
-        with pytest.raises(PartitionError, match="Goldilocks"):
-            UniNTTEngine(SimCluster(F, 4), vectorized=True)
+        x = GOLDILOCKS.random_vector(256, rng)
+        scalar, lanes = (self.round_trip(b, x) for b in BACKENDS)
+        assert scalar[2] == lanes[2]
 
     def test_coset_shift_with_vectorized(self, rng):
         from repro.ntt import coset_ntt
 
-        n, g = 256, 4
-        x = GOLDILOCKS.random_vector(n, rng)
-        cluster = SimCluster(GOLDILOCKS, g)
-        engine = UniNTTEngine(cluster, vectorized=True)
-        vec = DistributedVector.from_values(cluster, x,
-                                            engine.input_layout(n))
-        out = engine.forward(vec, coset_shift=7)
-        assert out.to_values() == coset_ntt(GOLDILOCKS, x, 7)
+        x = GOLDILOCKS.random_vector(256, rng)
+        for backend in BACKENDS:
+            spectrum, back, _ = self.round_trip(backend, x, coset_shift=7)
+            assert spectrum == coset_ntt(GOLDILOCKS, x, 7)
+            assert back == x
